@@ -9,7 +9,12 @@ woken.  Retrying re-enters :meth:`acquire`, which recognizes the granted
 queued request.
 
 Deadlocks are detected eagerly at enqueue time with a wait-for-graph cycle
-check; the requester is the victim and its request is withdrawn.
+check; the requester is the victim and its request is withdrawn.  A *proxy
+owner* -- the id under which lock mirroring holds and requests a
+transaction's mirrored locks -- is folded onto its transaction in that
+graph (:meth:`LockManager.link_proxy`): the proxy waits on the
+transaction's behalf and releases only after the transaction has ended, so
+a cycle through it is a cycle through the transaction.
 
 Table **latches** model the short exclusive pauses the transformation
 framework takes during synchronization (Section 3.4): while a table is
@@ -21,8 +26,8 @@ one bounded final propagation only).
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
-from typing import Deque, Dict, Iterable, List, Optional, Set, Tuple
+from dataclasses import dataclass
+from typing import Deque, Dict, List, Optional, Set, Tuple
 
 from repro.common.errors import DeadlockError, LockWaitError
 from repro.concurrency.locks import (
@@ -33,9 +38,12 @@ from repro.concurrency.locks import (
 from repro.obs import NULL_METRICS, Metrics
 
 
-@dataclass
+@dataclass(eq=False)
 class LockRequest:
-    """One transaction's (granted or waiting) claim on a resource."""
+    """One transaction's (granted or waiting) claim on a resource.
+
+    Compared by identity: queues remove the request object itself.
+    """
 
     txn_id: int
     mode: LockMode
@@ -52,12 +60,6 @@ class _ResourceState:
         self.granted: List[LockRequest] = []
         self.waiting: Deque[LockRequest] = deque()
 
-    def granted_for(self, txn_id: int) -> Optional[LockRequest]:
-        for request in self.granted:
-            if request.txn_id == txn_id:
-                return request
-        return None
-
     def waiting_for(self, txn_id: int) -> Optional[LockRequest]:
         for request in self.waiting:
             if request.txn_id == txn_id:
@@ -73,12 +75,17 @@ class LockManager:
 
     def __init__(self, metrics: Optional[Metrics] = None) -> None:
         self._resources: Dict[tuple, _ResourceState] = {}
-        self._txn_resources: Dict[int, Set[tuple]] = {}
+        #: Granted requests per transaction, by resource: a covered
+        #: re-acquire is two dict gets, and release_all walks this map.
+        self._held: Dict[int, Dict[tuple, LockRequest]] = {}
         #: Resources on which a transaction has an ungranted queued
         #: request.  Must be purged on release_all: a request left behind
         #: by an aborted transaction would later be granted to a dead
         #: owner and starve every subsequent waiter.
         self._txn_waiting: Dict[int, Set[tuple]] = {}
+        #: Proxy owner -> its transaction, and back (see link_proxy).
+        self._proxy_txn: Dict[int, int] = {}
+        self._txn_proxy: Dict[int, int] = {}
         self._latches: Dict[str, str] = {}
         self._latch_waiters: Dict[str, List[int]] = {}
         #: Clock reading at latch acquisition, for hold-time accounting.
@@ -102,14 +109,12 @@ class LockManager:
         Raises :class:`DeadlockError` (withdrawing the request) if waiting
         would close a wait-for cycle.
         """
-        state = self._resources.get(resource)
-        if state is None:
-            state = self._resources[resource] = _ResourceState()
-
-        own = state.granted_for(txn_id)
+        held = self._held.get(txn_id)
+        own = None if held is None else held.get(resource)
         if own is not None:
-            if own.mode.covers(mode):
+            if own.mode is mode or own.mode.covers(mode):
                 return
+            state = self._resources[resource]
             # Upgrade to the join of the held and requested modes.
             upgraded = own.mode.join(mode)
             others = [g for g in state.granted if g.txn_id != txn_id]
@@ -129,19 +134,25 @@ class LockManager:
             self._blame_begin(txn_id, resource, state, upgraded, origin)
             raise LockWaitError(resource, txn_id)
 
-        waiter = state.waiting_for(txn_id)
-        if waiter is not None:
-            if waiter.granted:
-                state.waiting.remove(waiter)
-                state.granted.append(waiter)
-                self._remember(txn_id, resource)
-                return
-            self._check_deadlock(txn_id, resource)
-            raise LockWaitError(resource, txn_id)
+        state = self._resources.get(resource)
+        if state is None:
+            state = self._resources[resource] = _ResourceState()
+        waiting = self._txn_waiting.get(txn_id)
+        if waiting is not None and resource in waiting:
+            waiter = state.waiting_for(txn_id)
+            if waiter is not None:
+                if waiter.granted:
+                    state.waiting.remove(waiter)
+                    state.granted.append(waiter)
+                    self._remember(txn_id, resource, waiter)
+                    return
+                self._check_deadlock(txn_id, resource)
+                raise LockWaitError(resource, txn_id)
 
         if self._grantable(state, mode, origin, txn_id):
-            state.granted.append(LockRequest(txn_id, mode, origin, True))
-            self._remember(txn_id, resource)
+            request = LockRequest(txn_id, mode, origin, True)
+            state.granted.append(request)
+            self._remember(txn_id, resource, request)
             return
 
         state.waiting.append(LockRequest(txn_id, mode, origin))
@@ -184,12 +195,13 @@ class LockManager:
         state = self._resources.get(resource)
         if state is None:
             state = self._resources[resource] = _ResourceState()
-        own = state.granted_for(txn_id)
+        own = self._held.get(txn_id, {}).get(resource)
         if own is not None and own.mode.covers(mode):
             return True
         if own is None and self._grantable(state, mode, origin, txn_id):
-            state.granted.append(LockRequest(txn_id, mode, origin, True))
-            self._remember(txn_id, resource)
+            request = LockRequest(txn_id, mode, origin, True)
+            state.granted.append(request)
+            self._remember(txn_id, resource, request)
             return True
         if own is not None:
             upgraded = own.mode.join(mode)
@@ -214,13 +226,14 @@ class LockManager:
         state = self._resources.get(resource)
         if state is None:
             state = self._resources[resource] = _ResourceState()
-        own = state.granted_for(txn_id)
+        own = self._held.get(txn_id, {}).get(resource)
         if own is not None:
             own.mode = own.mode.join(mode)
             own.origin = origin
             return
-        state.granted.append(LockRequest(txn_id, mode, origin, True))
-        self._remember(txn_id, resource)
+        request = LockRequest(txn_id, mode, origin, True)
+        state.granted.append(request)
+        self._remember(txn_id, resource, request)
 
     def _grantable(self, state: _ResourceState, mode: LockMode,
                    origin: LockOrigin, txn_id: int) -> bool:
@@ -234,8 +247,13 @@ class LockManager:
                 return False
         return True
 
-    def _remember(self, txn_id: int, resource: tuple) -> None:
-        self._txn_resources.setdefault(txn_id, set()).add(resource)
+    def _remember(self, txn_id: int, resource: tuple,
+                  request: LockRequest) -> None:
+        held = self._held.get(txn_id)
+        if held is None:
+            self._held[txn_id] = {resource: request}
+        else:
+            held[resource] = request
         self._forget_waiting(txn_id, resource)
 
     def _remember_waiting(self, txn_id: int, resource: tuple) -> None:
@@ -260,7 +278,8 @@ class LockManager:
         state = self._resources.get(resource)
         if state is None:
             return []
-        own = state.granted_for(txn_id)
+        held = self._held.get(txn_id)
+        own = None if held is None else held.pop(resource, None)
         if own is not None:
             state.granted.remove(own)
         else:
@@ -268,9 +287,6 @@ class LockManager:
             self._forget_waiting(txn_id, resource)
             self.metrics.blame.end_wait(txn_id, resource,
                                         outcome="abandoned")
-        held = self._txn_resources.get(txn_id)
-        if held is not None:
-            held.discard(resource)
         woken = self._promote(resource, state)
         if state.empty():
             self._resources.pop(resource, None)
@@ -279,11 +295,20 @@ class LockManager:
     def release_all(self, txn_id: int) -> List[int]:
         """Release every lock of a transaction (end of strict 2PL).
 
+        Also withdraws the still-queued requests of the transaction's
+        proxy owner: they were made on its behalf for an operation that
+        will never complete.  The proxy's *granted* locks stay; the
+        propagator releases them at the transaction's end record.
+
         Returns the ids of transactions whose queued requests became
         granted; the caller (simulator or session driver) re-schedules them.
         """
-        resources = self._txn_resources.pop(txn_id, set())
-        resources |= self._txn_waiting.pop(txn_id, set())
+        held = self._held.pop(txn_id, None) or {}
+        waiting = self._txn_waiting.pop(txn_id, None) or set()
+        proxy = self._txn_proxy.pop(txn_id, None)
+        proxied = self._proxy_txn.pop(txn_id, None)
+        if proxied is not None and self._txn_proxy.get(proxied) == txn_id:
+            del self._txn_proxy[proxied]
         # Any wait this transaction still had open (lock, latch or
         # blocked-table) ends here as abandoned: strict 2PL release is
         # the common exit of commit, abort and deadlock-victim paths.
@@ -291,18 +316,37 @@ class LockManager:
         self.metrics.blame.abandon_waits(txn_id)
         self.metrics.blame.clear_role(txn_id)
         woken: List[int] = []
-        for resource in list(resources):
+        for resource, own in held.items():
             state = self._resources.get(resource)
             if state is None:
                 continue
-            own = state.granted_for(txn_id)
-            if own is not None:
-                state.granted.remove(own)
-            self._withdraw(state, txn_id)
-            woken.extend(self._promote(resource, state))
-            if state.empty():
-                self._resources.pop(resource, None)
+            state.granted.remove(own)
+            if resource in waiting:
+                self._withdraw(state, txn_id)
+            self._settle(resource, state, woken)
+        for resource in waiting.difference(held):
+            state = self._resources.get(resource)
+            if state is not None:
+                self._withdraw(state, txn_id)
+                self._settle(resource, state, woken)
+        proxy_waiting = None if proxy is None \
+            else self._txn_waiting.pop(proxy, None)
+        if proxy_waiting:
+            self.metrics.blame.abandon_waits(proxy)
+            for resource in proxy_waiting:
+                state = self._resources.get(resource)
+                if state is not None:
+                    self._withdraw(state, proxy)
+                    self._settle(resource, state, woken)
         return woken
+
+    def _settle(self, resource: tuple, state: _ResourceState,
+                woken: List[int]) -> None:
+        """Promote waiters after a removal; drop the state once empty."""
+        if state.waiting:
+            woken.extend(self._promote(resource, state))
+        if state.empty():
+            self._resources.pop(resource, None)
 
     def _promote(self, resource: tuple, state: _ResourceState) -> List[int]:
         """Grant queued requests now compatible, FIFO; return woken txns."""
@@ -316,13 +360,14 @@ class LockManager:
                        for g in state.granted
                        if g.txn_id != waiter.txn_id):
                     state.waiting.remove(waiter)
-                    own = state.granted_for(waiter.txn_id)
+                    own = self._held.get(waiter.txn_id, {}).get(resource)
                     if own is not None:
                         own.mode = own.mode.join(waiter.mode)
+                        self._forget_waiting(waiter.txn_id, resource)
                     else:
                         waiter.granted = True
                         state.granted.append(waiter)
-                        self._remember(waiter.txn_id, resource)
+                        self._remember(waiter.txn_id, resource, waiter)
                     self.metrics.blame.end_wait(waiter.txn_id, resource)
                     woken.append(waiter.txn_id)
                     changed = True
@@ -340,17 +385,14 @@ class LockManager:
     def holds(self, txn_id: int, resource: tuple,
               mode: Optional[LockMode] = None) -> bool:
         """Whether the transaction holds (at least) ``mode`` on resource."""
-        state = self._resources.get(resource)
-        if state is None:
-            return False
-        own = state.granted_for(txn_id)
+        own = self._held.get(txn_id, {}).get(resource)
         if own is None:
             return False
         return True if mode is None else own.mode.covers(mode)
 
     def locks_of(self, txn_id: int) -> Set[tuple]:
         """Resources on which the transaction holds locks."""
-        return set(self._txn_resources.get(txn_id, set()))
+        return set(self._held.get(txn_id, ()))
 
     def waiting_txns(self) -> Set[int]:
         """Ids of transactions with a queued (ungranted) request."""
@@ -363,40 +405,62 @@ class LockManager:
 
     # -- deadlock detection ------------------------------------------------------------
 
+    def link_proxy(self, proxy: int, txn_id: int) -> None:
+        """Declare ``proxy`` the owner of ``txn_id``'s mirrored locks.
+
+        From now on the wait-for graph folds the proxy onto the
+        transaction, so a cycle through the proxy is detected (and the
+        victim is the transaction), and ending the transaction withdraws
+        the proxy's queued requests.
+        """
+        self._proxy_txn[proxy] = txn_id
+        self._txn_proxy[txn_id] = proxy
+
     def _check_deadlock(self, txn_id: int, resource: tuple) -> None:
-        """Raise :class:`DeadlockError` if ``txn_id`` waiting closes a cycle."""
+        """Raise :class:`DeadlockError` if ``txn_id`` waiting closes a cycle.
+
+        A proxy requester is checked, and named the victim, as its
+        transaction.
+        """
+        start = self._proxy_txn.get(txn_id, txn_id)
         graph = self._wait_for_graph()
-        # DFS from txn_id looking for a path back to txn_id.
-        stack: List[Tuple[int, Tuple[int, ...]]] = [(txn_id, (txn_id,))]
+        # DFS from start looking for a path back to start.
+        stack: List[Tuple[int, Tuple[int, ...]]] = [(start, (start,))]
         seen: Set[int] = set()
         while stack:
             node, path = stack.pop()
             for successor in graph.get(node, ()):  # holders node waits for
-                if successor == txn_id:
+                if successor == start:
                     self.deadlock_count += 1
                     self.metrics.inc("lock.deadlocks")
-                    raise DeadlockError(txn_id, path)
+                    raise DeadlockError(start, path)
                 if successor not in seen:
                     seen.add(successor)
                     stack.append((successor, path + (successor,)))
 
     def _wait_for_graph(self) -> Dict[int, Set[int]]:
+        """Waiter -> the owners it waits for, proxies folded onto their
+        transactions."""
+        owner = self._proxy_txn.get
         graph: Dict[int, Set[int]] = {}
         for state in self._resources.values():
+            if not state.waiting:
+                continue
             ahead: List[LockRequest] = list(state.granted)
             for waiter in state.waiting:
                 if waiter.granted:
                     ahead.append(waiter)
                     continue
                 blockers = {
-                    other.txn_id
+                    owner(other.txn_id, other.txn_id)
                     for other in ahead
                     if other.txn_id != waiter.txn_id
                     and not compatible(other.mode, other.origin,
                                        waiter.mode, waiter.origin)
                 }
                 if blockers:
-                    graph.setdefault(waiter.txn_id, set()).update(blockers)
+                    graph.setdefault(owner(waiter.txn_id, waiter.txn_id),
+                                     set()).update(blockers)
                 ahead.append(waiter)
         return graph
 

@@ -47,7 +47,7 @@ from typing import Dict, Iterator, List, Optional, Tuple
 from repro.faults import NULL_FAULTS, register_site
 from repro.obs.metrics import NULL_METRICS
 from repro.storage.row import Row
-from repro.storage.table import PRIMARY_INDEX, Table
+from repro.storage.table import Table
 
 SITE_MVCC_SNAPSHOT_READ = register_site(
     "mvcc.snapshot.read", "storage",
@@ -151,13 +151,6 @@ class VersionedTable:
             chain[-1] = (commit_lsn, values)
         else:
             chain.append((commit_lsn, values))
-        primary = self.table.indexes.get(PRIMARY_INDEX)
-        if primary is not None:
-            # The heap write that produced this version may have taken
-            # the indexed-attrs-disjoint fast path, which skips all
-            # index bookkeeping -- bump the probe-cache version stamp so
-            # a cached probe can never serve the superseded version.
-            primary.note_version_change(key)
 
     def forget(self, key: Tuple) -> None:
         """Drop the whole chain for ``key`` (testing/GC helper)."""
@@ -204,7 +197,6 @@ class VersionedTable:
         """
         reclaimed = 0
         dead_keys = []
-        primary = self.table.indexes.get(PRIMARY_INDEX)
         for key, chain in self._chains.items():
             if watermark is None:
                 keep_from = len(chain) - 1
@@ -218,15 +210,11 @@ class VersionedTable:
             if keep_from > 0:
                 del chain[:keep_from]
                 reclaimed += keep_from
-                if primary is not None:
-                    primary.note_version_change(key)
             if watermark is None and len(chain) == 1 \
                     and chain[0][1] is TOMBSTONE:
                 dead_keys.append(key)
         for key in dead_keys:
             reclaimed += len(self._chains.pop(key))
-            if primary is not None:
-                primary.note_version_change(key)
         return reclaimed
 
 

@@ -246,6 +246,7 @@ class _SyncExecutor:
         source_uids = {t.uid: t.name for t in self._source_objects()}
         for txn in txns:
             owner = proxy_owner(txn.txn_id)
+            self.db.locks.link_proxy(owner, txn.txn_id)
             # Blame: waits behind materialized proxy locks are the sync
             # strategy's doing (explicit registration of the negative-id
             # default, so a later re-mapping cannot silently drift).
@@ -635,6 +636,7 @@ class LockMirror:
         if txn.txn_id in self.tf._old_txn_ids and \
                 table.name in self.source_names:
             owner = proxy_owner(txn.txn_id)
+            db.locks.link_proxy(owner, txn.txn_id)
             for target, t_key in self.engine.targets_of_source_lock(
                     table.name, key):
                 db.locks.acquire(owner, record_resource(target.uid, t_key),

@@ -88,6 +88,9 @@ SEGMENT_HEADER_SIZE = len(SEGMENT_HEADER)
 #: Bytes of frame metadata preceding each payload: u32 length + u32 CRC.
 FRAME_HEADER_SIZE = 8
 
+_pack_frame_header = struct.Struct(">II").pack
+_pack_double = struct.Struct(">d").pack
+
 
 class FrameCodecError(ReproError):
     """A record (or one of its payload values) cannot be framed."""
@@ -123,19 +126,27 @@ RECORD_CODES: Dict[Type[LogRecord], int] = {
 _RECORD_BY_CODE: Dict[int, Type[LogRecord]] = {
     code: cls for cls, code in RECORD_CODES.items()}
 
-#: Payload fields (everything except the LogRecord base fields), cached
-#: per class in dataclass declaration order.
+#: ``(code, payload field names)`` per record class, filled on first use.
+#: Payload fields are everything but the LogRecord base fields, in
+#: dataclass declaration order.
 _BASE_FIELDS = ("lsn", "prev_lsn", "txn_id")
-_PAYLOAD_FIELDS: Dict[Type[LogRecord], Tuple[str, ...]] = {}
+_LAYOUTS: Dict[Type[LogRecord], Tuple[int, Tuple[str, ...]]] = {}
 
 
-def _payload_fields(cls: Type[LogRecord]) -> Tuple[str, ...]:
-    cached = _PAYLOAD_FIELDS.get(cls)
-    if cached is None:
-        cached = tuple(f.name for f in dataclasses.fields(cls)
+def _layout(cls: Type[LogRecord]) -> Tuple[int, Tuple[str, ...]]:
+    layout = _LAYOUTS.get(cls)
+    if layout is None:
+        code = RECORD_CODES.get(cls)
+        if code is None:
+            raise FrameCodecError(
+                f"record class {cls.__name__} has no frame code; "
+                f"add it to repro.wal.frames.RECORD_CODES")
+        if _DATACLASS_REGISTRY.get("FojSpec") is None:
+            _register_spec_dataclasses()
+        fields = tuple(f.name for f in dataclasses.fields(cls)
                        if f.name not in _BASE_FIELDS)
-        _PAYLOAD_FIELDS[cls] = cached
-    return cached
+        layout = _LAYOUTS[cls] = (code, fields)
+    return layout
 
 
 #: Frozen dataclasses that may appear as payload values (swap-record
@@ -188,16 +199,15 @@ def _register_spec_dataclasses() -> None:
 
 def _write_varint(out: bytearray, value: int) -> None:
     """Unsigned LEB128."""
-    if value < 0:
-        raise FrameCodecError(f"varint cannot encode negative {value}")
-    while True:
-        byte = value & 0x7F
+    if value < 0x80:
+        if value < 0:
+            raise FrameCodecError(f"varint cannot encode negative {value}")
+        out.append(value)
+        return
+    while value >= 0x80:
+        out.append((value & 0x7F) | 0x80)
         value >>= 7
-        if value:
-            out.append(byte | 0x80)
-        else:
-            out.append(byte)
-            return
+    out.append(value)
 
 
 def _read_varint(data: bytes, pos: int) -> Tuple[int, int]:
@@ -240,46 +250,120 @@ _T_SCHEMA = 0x0B
 _T_DATACLASS = 0x0C
 
 
+def _write_none(out: bytearray, value: None) -> None:
+    out.append(_T_NONE)
+
+
+def _write_bool(out: bytearray, value: bool) -> None:
+    out.append(_T_TRUE if value else _T_FALSE)
+
+
+def _write_int(out: bytearray, value: int) -> None:
+    out.append(_T_INT)
+    _write_svarint(out, value)
+
+
+def _write_float(out: bytearray, value: float) -> None:
+    out.append(_T_FLOAT)
+    out += _pack_double(value)
+
+
+def _write_str(out: bytearray, value: str) -> None:
+    raw = value.encode("utf-8")
+    out.append(_T_STR)
+    _write_varint(out, len(raw))
+    out += raw
+
+
+def _write_bytes(out: bytearray, value: bytes) -> None:
+    out.append(_T_BYTES)
+    _write_varint(out, len(value))
+    out += value
+
+
+def _write_items(out: bytearray, tag: int, value: object) -> None:
+    out.append(tag)
+    _write_varint(out, len(value))
+    writers = _WRITERS
+    for item in value:
+        writer = writers.get(type(item))
+        if writer is None:
+            _encode_other(out, item)
+        else:
+            writer(out, item)
+
+
+def _write_tuple(out: bytearray, value: tuple) -> None:
+    _write_items(out, _T_TUPLE, value)
+
+
+def _write_list(out: bytearray, value: list) -> None:
+    _write_items(out, _T_LIST, value)
+
+
+def _write_dict(out: bytearray, value: dict) -> None:
+    out.append(_T_DICT)
+    _write_varint(out, len(value))
+    writers = _WRITERS
+    for key, item in value.items():
+        writer = writers.get(type(key))
+        if writer is None:
+            _encode_other(out, key)
+        else:
+            writer(out, key)
+        writer = writers.get(type(item))
+        if writer is None:
+            _encode_other(out, item)
+        else:
+            writer(out, item)
+
+
+#: Writer per exact value type.  Subclasses of these types, nested
+#: records, schemas and registered dataclasses take :func:`_encode_other`.
+#: The container writers and :func:`_write_record` repeat the dispatch of
+#: :func:`encode_value` inline: one call less per value on the commit path.
+_WRITERS = {
+    type(None): _write_none,
+    bool: _write_bool,
+    int: _write_int,
+    float: _write_float,
+    str: _write_str,
+    bytes: _write_bytes,
+    tuple: _write_tuple,
+    list: _write_list,
+    dict: _write_dict,
+}
+
+
+#: Writers for subclasses of the builtin types (an ``IntEnum``, a
+#: ``namedtuple``, an ``OrderedDict``), tried in this order.
+_SUBCLASS_WRITERS = (
+    (int, _write_int),
+    (float, _write_float),
+    (str, _write_str),
+    (bytes, _write_bytes),
+    (tuple, _write_tuple),
+    (list, _write_list),
+    (dict, _write_dict),
+)
+
+
 def encode_value(out: bytearray, value: object) -> None:
     """Append the tagged encoding of ``value`` to ``out``."""
-    if value is None:
-        out.append(_T_NONE)
-    elif value is True:
-        out.append(_T_TRUE)
-    elif value is False:
-        out.append(_T_FALSE)
-    elif isinstance(value, int):
-        out.append(_T_INT)
-        _write_svarint(out, value)
-    elif isinstance(value, float):
-        out.append(_T_FLOAT)
-        out.extend(struct.pack(">d", value))
-    elif isinstance(value, str):
-        raw = value.encode("utf-8")
-        out.append(_T_STR)
-        _write_varint(out, len(raw))
-        out.extend(raw)
-    elif isinstance(value, bytes):
-        out.append(_T_BYTES)
-        _write_varint(out, len(value))
-        out.extend(value)
-    elif isinstance(value, tuple):
-        out.append(_T_TUPLE)
-        _write_varint(out, len(value))
-        for item in value:
-            encode_value(out, item)
-    elif isinstance(value, list):
-        out.append(_T_LIST)
-        _write_varint(out, len(value))
-        for item in value:
-            encode_value(out, item)
-    elif isinstance(value, dict):
-        out.append(_T_DICT)
-        _write_varint(out, len(value))
-        for key, item in value.items():
-            encode_value(out, key)
-            encode_value(out, item)
-    elif isinstance(value, LogRecord):
+    writer = _WRITERS.get(type(value))
+    if writer is None:
+        _encode_other(out, value)
+    else:
+        writer(out, value)
+
+
+def _encode_other(out: bytearray, value: object) -> None:
+    """Tagged encoding of a value whose exact type has no writer."""
+    for base, writer in _SUBCLASS_WRITERS:
+        if isinstance(value, base):
+            writer(out, value)
+            return
+    if isinstance(value, LogRecord):
         out.append(_T_RECORD)
         body = encode_record(value)
         _write_varint(out, len(body))
@@ -391,22 +475,26 @@ def decode_value(data: bytes, pos: int) -> Tuple[object, int]:
 # ---------------------------------------------------------------------------
 
 
-def encode_record(record: LogRecord) -> bytes:
-    """Serialize one record (without frame length/CRC)."""
-    code = RECORD_CODES.get(type(record))
-    if code is None:
-        raise FrameCodecError(
-            f"record class {type(record).__name__} has no frame code; "
-            f"add it to repro.wal.frames.RECORD_CODES")
-    if _DATACLASS_REGISTRY.get("FojSpec") is None:
-        _register_spec_dataclasses()
-    out = bytearray()
+def _write_record(out: bytearray, record: LogRecord) -> None:
+    code, fields = _layout(type(record))
     out.append(code)
     _write_svarint(out, record.lsn)
     _write_svarint(out, record.prev_lsn)
     _write_svarint(out, record.txn_id)
-    for name in _payload_fields(type(record)):
-        encode_value(out, getattr(record, name))
+    writers = _WRITERS
+    for name in fields:
+        value = getattr(record, name)
+        writer = writers.get(type(value))
+        if writer is None:
+            _encode_other(out, value)
+        else:
+            writer(out, value)
+
+
+def encode_record(record: LogRecord) -> bytes:
+    """Serialize one record (without frame length/CRC)."""
+    out = bytearray()
+    _write_record(out, record)
     return bytes(out)
 
 
@@ -422,7 +510,7 @@ def decode_record(data: bytes) -> LogRecord:
     prev_lsn, pos = _read_svarint(data, pos)
     txn_id, pos = _read_svarint(data, pos)
     kwargs: Dict[str, object] = {"txn_id": txn_id}
-    for name in _payload_fields(cls):
+    for name in _layout(cls)[1]:
         value, pos = decode_value(data, pos)
         kwargs[name] = value
     if pos != len(data):
@@ -437,8 +525,9 @@ def decode_record(data: bytes) -> LogRecord:
 
 def encode_frame(record: LogRecord) -> bytes:
     """One length-prefixed, CRC-protected frame for ``record``."""
-    payload = encode_record(record)
-    return struct.pack(">II", len(payload), zlib.crc32(payload)) + payload
+    payload = bytearray()
+    _write_record(payload, record)
+    return _pack_frame_header(len(payload), zlib.crc32(payload)) + payload
 
 
 def frame_spans(image: bytes) -> Iterator[Tuple[int, int]]:

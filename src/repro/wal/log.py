@@ -223,10 +223,9 @@ class LogManager:
             return
         start = max(self._disk_staged_lsn, NULL_LSN) - FIRST_LSN + 1
         stop = up_to_lsn - FIRST_LSN + 1
-        buf = bytearray()
-        for record in self._records[start:stop]:
-            buf.extend(encode_frame(record))
-        self._disk.append(bytes(buf))
+        buf = b"".join([encode_frame(record)
+                        for record in self._records[start:stop]])
+        self._disk.append(buf)
         self._disk_staged_lsn = up_to_lsn
         self._disk.sync()
         if self.metrics.enabled:
@@ -244,16 +243,20 @@ class LogManager:
         """
         if record.lsn != NULL_LSN:
             raise ValueError(f"record already appended: lsn={record.lsn}")
-        self.faults.fire(SITE_WAL_APPEND, kind=record.kind)
-        record.lsn = FIRST_LSN + len(self._records)
+        faults = self._faults
+        if faults.enabled:
+            faults.fire(SITE_WAL_APPEND, kind=record.kind)
+        records = self._records
+        lsn = record.lsn = FIRST_LSN + len(records)
         record.prev_lsn = prev_lsn
-        self._records.append(record)
-        self.faults.fire(SITE_WAL_APPEND_DONE, kind=record.kind,
-                         lsn=record.lsn)
-        self.metrics.inc("wal.appends")
+        records.append(record)
+        if faults.enabled:
+            faults.fire(SITE_WAL_APPEND_DONE, kind=record.kind, lsn=lsn)
+        if self.metrics.enabled:
+            self.metrics.inc("wal.appends")
         for observer in self.observers:
             observer(record)
-        return record.lsn
+        return lsn
 
     def append_batch(self, records: Sequence[LogRecord],
                      prev_lsns: Optional[Sequence[int]] = None) -> List[int]:
@@ -281,8 +284,10 @@ class LogManager:
             if record.lsn != NULL_LSN:
                 raise ValueError(
                     f"record already appended: lsn={record.lsn}")
-        self.faults.fire(SITE_WAL_APPEND_BATCH, n=len(records),
-                         kind=records[0].kind)
+        faults = self._faults
+        if faults.enabled:
+            faults.fire(SITE_WAL_APPEND_BATCH, n=len(records),
+                        kind=records[0].kind)
         lsns: List[int] = []
         base = FIRST_LSN + len(self._records)
         for i, record in enumerate(records):
@@ -291,8 +296,9 @@ class LogManager:
                 else NULL_LSN
             self._records.append(record)
             lsns.append(record.lsn)
-        self.faults.fire(SITE_WAL_APPEND_BATCH_DONE, n=len(records),
-                         last_lsn=lsns[-1])
+        if faults.enabled:
+            faults.fire(SITE_WAL_APPEND_BATCH_DONE, n=len(records),
+                        last_lsn=lsns[-1])
         if self.metrics.enabled:
             self.metrics.inc("wal.appends", len(records))
             self.metrics.inc("wal.append_batches")

@@ -7,6 +7,8 @@ outside the durable set must fail loudly at encode time, and
 corrupt-tail / mid-log-quarantine trichotomy exactly.
 """
 
+import json
+import pathlib
 import struct
 import zlib
 
@@ -43,7 +45,7 @@ from repro.wal import (
     encode_record,
     frame_spans,
 )
-from repro.wal.frames import RECORD_CODES
+from repro.wal.frames import RECORD_CODES, SEGMENT_VERSION
 
 _SCHEMA = TableSchema("T", ["id", "name", "zip"], primary_key=["id"],
                       candidate_keys=[["name", "zip"]])
@@ -99,6 +101,29 @@ SAMPLE_RECORDS = [
 ]
 
 
+class _Int(int):
+    """An int subclass: framed through the isinstance fall-through."""
+
+
+class _Str(str):
+    """A str subclass: framed through the isinstance fall-through."""
+
+
+#: One record whose payload reaches every value tag and varint width:
+#: negative and multi-byte ints, big ints, floats, bytes, lists, bools,
+#: a string longer than one varint byte, non-ASCII text, nested tuples
+#: and subclasses of the builtin types.
+EDGE_RECORD = UpdateRecord(
+    txn_id=123456789, table="T" * 200,
+    key=(-5, 2 ** 70, -(2 ** 70), (1, "a")),
+    changes={"f": 1.5, "neg": -0.0, "b": b"\x00\xff",
+             "l": [True, False, None], "u": "äß☃", "sub": _Int(300),
+             _Str("k"): _Str("v")},
+    old_values={"n": -1, "big": 2 ** 64, "t": (), "d": {}})
+EDGE_RECORD.lsn = 70000
+EDGE_RECORD.prev_lsn = 129
+
+
 def _with_lsns(records):
     """Assign the dense LSNs the salvage path expects."""
     out = []
@@ -136,6 +161,25 @@ def test_record_round_trip_is_byte_identical(record):
     # Re-encoding the decoded record reproduces the exact bytes: the
     # byte-for-byte durability invariant the crash oracle checks.
     assert encode_record(decoded) == payload
+
+
+def test_frames_match_golden_bytes():
+    """The encoder writes the exact bytes of segment format version 1.
+
+    ``fixtures/golden_frames.json`` holds the frames of every sample
+    record (all 18 kinds, a CLR with its nested action and swap records
+    with spec dataclasses) plus :data:`EDGE_RECORD`, as written by the
+    original branch-per-type encoder.  Any byte drift here is a format
+    change and needs a new ``SEGMENT_VERSION``.
+    """
+    assert SEGMENT_VERSION == 1
+    path = pathlib.Path(__file__).parent / "fixtures" / "golden_frames.json"
+    golden = json.loads(path.read_text())
+    records = _with_lsns(list(SAMPLE_RECORDS))
+    actual = {f"{i:02d}-{type(r).__name__}": encode_frame(r).hex()
+              for i, r in enumerate(records)}
+    actual["edge-values"] = encode_frame(EDGE_RECORD).hex()
+    assert actual == golden
 
 
 def test_schema_round_trip_preserves_keys():

@@ -8,7 +8,9 @@ from repro.common.errors import (
     NoSuchRowError,
     SchemaError,
 )
+from repro.engine import Database, Session
 from repro.storage import HashIndex, Table, TableSchema, index_key
+from repro.storage.table import PRIMARY_INDEX
 
 
 # ---------------------------------------------------------------------------
@@ -263,29 +265,18 @@ def test_row_matches_predicate():
 
 
 # ---------------------------------------------------------------------------
-# LRU probe cache
+# Index lookups
 # ---------------------------------------------------------------------------
-
-
-def test_probe_cache_hits_and_misses():
-    idx = HashIndex("i", ("a",), unique=False)
-    for rid in (10, 11, 12):
-        idx.insert({"a": 1}, rid)
-    assert idx.lookup((1,)) == [10, 11, 12]       # miss: fills the cache
-    assert idx.lookup((1,)) == [10, 11, 12]       # hit
-    assert idx.probe_stats["misses"] == 1
-    assert idx.probe_stats["hits"] == 1
 
 
 def test_probe_cache_invalidated_by_writes():
     idx = HashIndex("i", ("a",), unique=False)
     idx.insert({"a": 1}, 10)
     assert idx.lookup((1,)) == [10]
-    idx.insert({"a": 1}, 11)                      # invalidates key (1,)
+    idx.insert({"a": 1}, 11)
     assert idx.lookup((1,)) == [10, 11]           # fresh result, not stale
     idx.remove({"a": 1}, 10)
     assert idx.lookup((1,)) == [11]
-    assert idx.probe_stats["invalidations"] >= 2
 
 
 def test_probe_cache_result_is_a_private_copy():
@@ -296,61 +287,54 @@ def test_probe_cache_result_is_a_private_copy():
     assert idx.lookup((1,)) == [10]
 
 
-def test_probe_cache_bounded_lru_eviction():
-    idx = HashIndex("i", ("a",), unique=False, probe_cache_size=2)
-    for a in range(4):
-        idx.insert({"a": a}, 100 + a)
-        idx.lookup((a,))
-    assert len(idx._probe_cache) <= 2             # bounded
-    # Evicted keys just re-miss; results stay correct.
-    assert idx.lookup((0,)) == [100]
-
-
-def test_probe_cache_cleared_with_index():
+def test_lookup_sorts_multi_row_buckets_and_counts_every_probe():
     idx = HashIndex("i", ("a",), unique=False)
-    idx.insert({"a": 1}, 10)
-    idx.lookup((1,))
-    idx.clear()
-    assert idx.lookup((1,)) == []
-    assert len(idx._probe_cache) <= 1
+    for rid in (12, 10, 11):
+        idx.insert({"a": 1}, rid)
+    assert idx.lookup((1,)) == [10, 11, 12]
+    assert idx.lookup([1]) == [10, 11, 12]        # any key sequence
+    assert idx.lookup_one((1,)) == 10
+    assert idx.lookup((None,)) == []              # NULL keys: no probe
+    assert idx.probe_stats == {"hits": 0, "misses": 3}
 
 
 # ---------------------------------------------------------------------------
-# Version-aware probe-cache invalidation (MVCC)
+# Lookups see out-of-band version changes (MVCC)
 # ---------------------------------------------------------------------------
 
 
-def test_probe_cache_stale_on_out_of_band_version_change():
-    """``note_version_change`` must kill a cached probe even though no
-    index-maintenance hook ran for the key."""
-    idx = HashIndex("i", ("a",), unique=False)
-    idx.insert({"a": 1}, 10)
-    assert idx.lookup((1,)) == [10]               # miss: fills the cache
-    idx.note_version_change((1,))                 # e.g. MVCC commit stamp
-    assert idx.lookup((1,)) == [10]               # correct, but re-probed
-    assert idx.probe_stats["invalidations"] == 1
-    assert idx.probe_stats["misses"] == 2
-    assert idx.probe_stats["hits"] == 0
-
-
-def test_probe_cache_not_served_across_mvcc_disjoint_update():
-    """A disjoint-attr update takes the index-skipping fast path; the MVCC
-    commit stamp must still bump the primary probe-cache version stamp."""
-    from repro.engine import Database, Session
-    from repro.storage.table import PRIMARY_INDEX
-
+def _mvcc_table():
+    """An MVCC database holding T(id=1, x="old"); returns (db, T)."""
     db = Database()
     db.enable_mvcc()
     db.create_table(TableSchema("T", ["id", "x"], primary_key=["id"]))
     with Session(db) as s:
         s.insert("T", {"id": 1, "x": "old"})
-    primary = db.table("T").indexes[PRIMARY_INDEX]
-    assert primary.lookup((1,)) == [0] or primary.lookup((1,))  # fill cache
-    before = dict(primary.probe_stats)
+    return db, db.table("T")
+
+
+def test_lookup_current_after_mvcc_commit_stamp_and_gc():
+    """MVCC commit stamping and version GC change which version of a key
+    is current without going through index maintenance; the primary
+    lookup still returns the row holding the committed image."""
+    db, table = _mvcc_table()
+    primary = table.indexes[PRIMARY_INDEX]
+    (rowid,) = primary.lookup((1,))
+    for value in ("v1", "v2"):
+        with Session(db) as s:
+            s.update("T", (1,), {"x": value})     # commit stamps (1,)
+        assert primary.lookup((1,)) == [rowid]
+        assert table.get((1,)).values["x"] == value
+    assert db.mvcc.gc() > 0                       # trims the chain of (1,)
+    assert primary.lookup((1,)) == [rowid]
+    assert table.get((1,)).values["x"] == "v2"
+
+
+def test_lookup_current_after_mvcc_disjoint_update():
+    """A pk-disjoint update takes the index-skipping fast path; a lookup
+    right after it returns the updated row."""
+    db, table = _mvcc_table()
     with Session(db) as s:
         s.update("T", (1,), {"x": "new"})         # disjoint from the pk
-    # The commit stamped a new version for key (1,) without touching the
-    # index; a subsequent probe must not be served from the stale entry.
-    primary.lookup((1,))
-    assert primary.probe_stats["invalidations"] > before["invalidations"]
-    assert primary.probe_stats["misses"] > before["misses"]
+    (rowid,) = table.indexes[PRIMARY_INDEX].lookup((1,))
+    assert table.rows[rowid].values["x"] == "new"
